@@ -7,14 +7,14 @@
 use sygraph_core::engine::{SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::{BitmapLike, Word};
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
-use sygraph_core::inspector::{OptConfig, Tuning};
+use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_core::operators::advance::Advance;
 use sygraph_core::operators::compute;
 use sygraph_core::types::{VertexId, INF_DIST};
 use sygraph_sim::{Queue, SimResult};
 
+use crate::common::dispatch_by_word;
 use crate::common::{guarded_init, make_frontier, AlgoResult};
-use crate::dispatch_by_word;
 
 /// Runs single-source Brandes BC from `src`.
 pub fn run(
@@ -39,12 +39,8 @@ pub fn run_many(
     sources: &[VertexId],
     opts: &OptConfig,
 ) -> SimResult<Vec<AlgoResult<f32>>> {
-    dispatch_by_word!(
-        q,
-        opts,
-        g.vertex_count(),
-        run_many_impl(q, g, sources, opts)
-    )
+    let tuning = inspect(q.profile(), opts, g.vertex_count());
+    dispatch_by_word!(tuning, run_many_impl(q, g, sources, opts))
 }
 
 fn run_many_impl<W: Word>(

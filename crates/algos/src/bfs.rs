@@ -17,7 +17,7 @@ use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_core::types::{VertexId, INF_DIST};
 use sygraph_sim::{Queue, SimResult};
 
-use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::common::{dispatch_by_word, guarded_init, make_frontier, AlgoResult};
 
 /// Runs BFS from `src`, returning hop distances (unreached = `INF_DIST`).
 /// The distance stamp runs as a separate `compute` pass per superstep.
@@ -28,10 +28,7 @@ pub fn run<G: DeviceGraphView + ?Sized>(
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
     let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => engine_run::<u32, G>(q, g, src, opts, false, "bfs_iter", &tuning),
-        _ => engine_run::<u64, G>(q, g, src, opts, false, "bfs_iter", &tuning),
-    }
+    dispatch_by_word!(tuning, engine_run::<G>(q, g, src, opts, false, "bfs_iter"))
 }
 
 /// Like [`run`], but fuses the distance stamp into the advance kernel:
@@ -43,10 +40,7 @@ pub fn run_fused<G: DeviceGraphView + ?Sized>(
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
     let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => engine_run::<u32, G>(q, g, src, opts, true, "bfs_iter", &tuning),
-        _ => engine_run::<u64, G>(q, g, src, opts, true, "bfs_iter", &tuning),
-    }
+    dispatch_by_word!(tuning, engine_run::<G>(q, g, src, opts, true, "bfs_iter"))
 }
 
 /// The engine cycle shared by [`run`], [`run_fused`] and the

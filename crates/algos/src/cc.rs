@@ -10,7 +10,7 @@ use sygraph_core::graph::DeviceGraphView;
 use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_sim::{Queue, SimResult};
 
-use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::common::{dispatch_by_word, guarded_init, make_frontier, AlgoResult};
 
 /// Runs label-propagation CC; returns per-vertex component labels
 /// (the minimum vertex id of each component).
@@ -26,10 +26,7 @@ pub fn run<G: DeviceGraphView + ?Sized>(
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
     let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => run_impl::<u32, G>(q, g, opts, &tuning),
-        _ => run_impl::<u64, G>(q, g, opts, &tuning),
-    }
+    dispatch_by_word!(tuning, run_impl::<G>(q, g, opts))
 }
 
 /// Label propagation with Stergiou-style *shortcutting*: after each
@@ -45,10 +42,7 @@ pub fn run_shortcutting<G: DeviceGraphView + ?Sized>(
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
     let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => run_shortcut_impl::<u32, G>(q, g, opts, &tuning),
-        _ => run_shortcut_impl::<u64, G>(q, g, opts, &tuning),
-    }
+    dispatch_by_word!(tuning, run_shortcut_impl::<G>(q, g, opts))
 }
 
 fn run_shortcut_impl<W: Word, G: DeviceGraphView + ?Sized>(

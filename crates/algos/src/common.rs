@@ -6,18 +6,33 @@ use sygraph_core::engine::RecoveryPolicy;
 use sygraph_core::frontier::{
     BitmapFrontier, BitmapLike, HybridFrontier, SparseFrontier, TwoLayerFrontier, Word,
 };
-use sygraph_core::inspector::{inspect, OptConfig, Representation, Tuning};
+use sygraph_core::inspector::{OptConfig, Representation};
 use sygraph_sim::{Queue, SimError, SimResult};
 
 /// Result of one algorithm run: per-vertex values plus run metadata.
+/// `V` is the value container (see [`AlgoResult`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AlgoResult<T> {
+pub struct AlgoRun<V> {
     /// Per-vertex output (distances, labels, centrality scores...).
-    pub values: Vec<T>,
+    pub values: V,
     /// Supersteps executed.
     pub iterations: u32,
     /// Modelled device time of the run, in milliseconds.
     pub sim_ms: f64,
+}
+
+/// A run with one `T` per vertex, as every typed entry point returns.
+pub type AlgoResult<T> = AlgoRun<Vec<T>>;
+
+impl<V> AlgoRun<V> {
+    /// Converts the values, keeping the run metadata.
+    pub fn map<U>(self, f: impl FnOnce(V) -> U) -> AlgoRun<U> {
+        AlgoRun {
+            values: f(self.values),
+            iterations: self.iterations,
+            sim_ms: self.sim_ms,
+        }
+    }
 }
 
 /// Runs an algorithm's setup kernels (distance fills, frontier seeds)
@@ -68,39 +83,25 @@ pub fn make_frontier<W: Word>(
     }
 }
 
-/// Derives the tuning for this queue's device and dispatches `f` on the
-/// inspector-selected word width (the MSI optimization picks 32-bit words
-/// on NVIDIA/Intel and 64-bit on AMD; with MSI off the word is 64-bit).
-pub fn dispatch_word<R>(
-    q: &Queue,
-    opts: &OptConfig,
-    n: usize,
-    f32bit: impl FnOnce(Tuning) -> R,
-    f64bit: impl FnOnce(Tuning) -> R,
-) -> R {
-    let tuning = inspect(q.profile(), opts, n);
-    match tuning.word_bits {
-        32 => f32bit(tuning),
-        _ => f64bit(tuning),
-    }
-}
-
-/// Convenience macro: runs `$impl_fn::<u32>` or `::<u64>` per the
-/// inspector's word choice.
-#[macro_export]
+/// Calls `$f::<W>(args…, &tuning)` with the word width `W` the inspector
+/// picked in `tuning`: the MSI optimization chooses 32-bit words on
+/// NVIDIA/Intel and 64-bit on AMD; with MSI off the word is 64-bit. Extra
+/// generic parameters follow the word: `f::<G>(…)` calls `f::<u32, G>`.
 macro_rules! dispatch_by_word {
-    ($q:expr, $opts:expr, $n:expr, $impl_fn:ident ( $($arg:expr),* $(,)? )) => {{
-        let tuning = sygraph_core::inspector::inspect($q.profile(), $opts, $n);
+    ($tuning:expr, $f:ident $(::<$($g:ty),+>)? ($($arg:expr),* $(,)?)) => {{
+        let tuning = $tuning;
         match tuning.word_bits {
-            32 => $impl_fn::<u32>($($arg,)* &tuning),
-            _ => $impl_fn::<u64>($($arg,)* &tuning),
+            32 => $f::<u32 $($(, $g)+)?>($($arg,)* &tuning),
+            _ => $f::<u64 $($(, $g)+)?>($($arg,)* &tuning),
         }
     }};
 }
+pub(crate) use dispatch_by_word;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sygraph_core::inspector::{inspect, Tuning};
     use sygraph_sim::{Device, DeviceProfile};
 
     #[test]
@@ -117,11 +118,12 @@ mod tests {
 
     #[test]
     fn dispatch_picks_width_by_vendor() {
-        let qa = Queue::new(Device::new(DeviceProfile::v100s()));
-        let w = dispatch_word(&qa, &OptConfig::all(), 1000, |_| 32, |_| 64);
-        assert_eq!(w, 32);
-        let qb = Queue::new(Device::new(DeviceProfile::mi100()));
-        let w = dispatch_word(&qb, &OptConfig::all(), 1000, |_| 32, |_| 64);
-        assert_eq!(w, 64);
+        fn width<W: Word>(tuning: &Tuning) -> (u32, u32) {
+            (W::BITS, tuning.word_bits)
+        }
+        let nvidia = inspect(&DeviceProfile::v100s(), &OptConfig::all(), 1000);
+        assert_eq!(dispatch_by_word!(nvidia, width()), (32, 32));
+        let amd = inspect(&DeviceProfile::mi100(), &OptConfig::all(), 1000);
+        assert_eq!(dispatch_by_word!(amd, width()), (64, 64));
     }
 }

@@ -9,14 +9,14 @@
 
 use sygraph_core::frontier::{swap, Word};
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
-use sygraph_core::inspector::{OptConfig, Tuning};
+use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_core::operators::advance::Advance;
 use sygraph_core::operators::filter;
 use sygraph_core::types::{VertexId, INF_WEIGHT};
 use sygraph_sim::{Queue, SimError, SimResult};
 
+use crate::common::dispatch_by_word;
 use crate::common::{guarded_init, make_frontier, AlgoResult};
-use crate::dispatch_by_word;
 
 /// Runs Δ-stepping SSSP from `src` with bucket width `delta`.
 pub fn run(
@@ -27,7 +27,8 @@ pub fn run(
     delta: f32,
 ) -> SimResult<AlgoResult<f32>> {
     assert!(delta > 0.0, "delta must be positive");
-    dispatch_by_word!(q, opts, g.vertex_count(), run_impl(q, g, src, opts, delta))
+    let tuning = inspect(q.profile(), opts, g.vertex_count());
+    dispatch_by_word!(tuning, run_impl(q, g, src, opts, delta))
 }
 
 fn run_impl<W: Word>(

@@ -17,7 +17,8 @@ use sygraph_core::inspector::{inspect, Direction, OptConfig};
 use sygraph_core::types::VertexId;
 use sygraph_sim::{Queue, SimError, SimResult};
 
-use crate::common::AlgoResult;
+use crate::bfs::engine_run;
+use crate::common::{dispatch_by_word, AlgoResult};
 
 /// Runs direction-optimizing BFS from `src`. The graph must carry a pull
 /// (CSC) view — build it with [`Graph::with_pull`] — otherwise a typed
@@ -54,10 +55,10 @@ fn run_preset(
         tuning.beta = beta;
     }
     // Fused distance stamp, as the hand-rolled version always ran.
-    match tuning.word_bits {
-        32 => crate::bfs::engine_run::<u32, Graph>(q, g, src, opts, true, "dobfs_iter", &tuning),
-        _ => crate::bfs::engine_run::<u64, Graph>(q, g, src, opts, true, "dobfs_iter", &tuning),
-    }
+    dispatch_by_word!(
+        tuning,
+        engine_run::<Graph>(q, g, src, opts, true, "dobfs_iter")
+    )
 }
 
 #[cfg(test)]

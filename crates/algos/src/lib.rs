@@ -18,7 +18,8 @@ pub mod multi;
 pub mod pagerank;
 pub mod partitioned;
 pub mod reference;
+pub mod registry;
 pub mod sssp;
 pub mod triangles;
 
-pub use common::AlgoResult;
+pub use common::{AlgoResult, AlgoRun};

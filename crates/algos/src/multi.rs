@@ -21,14 +21,14 @@ use sygraph_core::frontier::{
     lane_locate, lane_words, locate, BitmapLike, LaneFrontier, LaneView, Word,
 };
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView, Graph};
-use sygraph_core::inspector::{OptConfig, Tuning};
+use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_core::operators::advance::Advance;
 use sygraph_core::operators::compute;
 use sygraph_core::types::{VertexId, INF_DIST};
 use sygraph_sim::{Queue, SimResult};
 
+use crate::common::dispatch_by_word;
 use crate::common::guarded_init;
-use crate::dispatch_by_word;
 
 /// Result of a batched multi-source run: one value vector per source, in
 /// the order the sources were given.
@@ -78,12 +78,8 @@ pub fn bfs_multi(
     width: u32,
     opts: &OptConfig,
 ) -> SimResult<MultiResult<u32>> {
-    dispatch_by_word!(
-        q,
-        opts,
-        g.vertex_count(),
-        bfs_multi_impl(q, g, sources, width)
-    )
+    let tuning = inspect(q.profile(), opts, g.vertex_count());
+    dispatch_by_word!(tuning, bfs_multi_impl(q, g, sources, width))
 }
 
 fn bfs_multi_impl<W: Word>(
@@ -182,12 +178,8 @@ pub fn bc_multi(
     width: u32,
     opts: &OptConfig,
 ) -> SimResult<MultiResult<f32>> {
-    dispatch_by_word!(
-        q,
-        opts,
-        g.vertex_count(),
-        bc_multi_impl(q, g, sources, width)
-    )
+    let tuning = inspect(q.profile(), opts, g.vertex_count());
+    dispatch_by_word!(tuning, bc_multi_impl(q, g, sources, width))
 }
 
 fn bc_multi_impl<W: Word>(

@@ -9,12 +9,12 @@
 
 use sygraph_core::engine::fixed_point_resilient;
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
-use sygraph_core::inspector::{OptConfig, Tuning};
+use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_core::operators::advance::Advance;
 use sygraph_sim::{Queue, SimResult};
 
+use crate::common::dispatch_by_word;
 use crate::common::{guarded_init, AlgoResult};
-use crate::dispatch_by_word;
 
 /// PageRank parameters.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +42,8 @@ pub fn run(
     opts: &OptConfig,
     params: PagerankParams,
 ) -> SimResult<AlgoResult<f32>> {
-    dispatch_by_word!(q, opts, g.vertex_count(), run_impl(q, g, params))
+    let tuning = inspect(q.profile(), opts, g.vertex_count());
+    dispatch_by_word!(tuning, run_impl(q, g, params))
 }
 
 fn run_impl<W: sygraph_core::frontier::Word>(

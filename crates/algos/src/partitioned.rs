@@ -21,18 +21,21 @@ use sygraph_core::engine::{
 };
 use sygraph_core::frontier::exchange::{ExchangeConfig, ExchangeTally};
 use sygraph_core::frontier::Word;
-use sygraph_core::graph::{DeviceCsr, PartitionedGraph};
-use sygraph_core::inspector::{inspect, OptConfig};
-use sygraph_core::types::{VertexId, INF_DIST, INF_WEIGHT};
-use sygraph_sim::{DeviceBuffer, Queue, SimResult};
+use sygraph_core::graph::{DeviceCsr, DevicePartition, PartitionedGraph};
+use sygraph_core::inspector::{inspect, OptConfig, Tuning};
+use sygraph_core::types::{VertexId, Weight, INF_DIST, INF_WEIGHT};
+use sygraph_sim::{DeviceBuffer, DeviceScalar, ItemCtx, Queue, SimResult};
+
+use crate::common::dispatch_by_word;
 
 /// Result of a partitioned run: the gathered global values plus the
 /// exchange accounting the single-device [`crate::common::AlgoResult`]
-/// has no place for.
-pub struct PartitionedResult<T> {
+/// has no place for. `V` is the value container (see
+/// [`PartitionedResult`]).
+pub struct PartitionedRun<V> {
     /// Per-vertex values in *global* ID order (owner entries; halo
     /// replicas are discarded).
-    pub values: Vec<T>,
+    pub values: V,
     /// Global supersteps until the union frontier emptied.
     pub supersteps: u32,
     /// Simulated wall time: the slowest device's clock delta.
@@ -46,61 +49,171 @@ pub struct PartitionedResult<T> {
     pub resumes: u32,
 }
 
-fn upload_shards(queues: &[Queue], pg: &PartitionedGraph) -> SimResult<Vec<DeviceCsr>> {
-    pg.parts
+/// A partitioned run with one `T` per vertex.
+pub type PartitionedResult<T> = PartitionedRun<Vec<T>>;
+
+impl<V> PartitionedRun<V> {
+    /// Converts the values, keeping the run statistics.
+    pub fn map<U>(self, f: impl FnOnce(V) -> U) -> PartitionedRun<U> {
+        PartitionedRun {
+            values: f(self.values),
+            supersteps: self.supersteps,
+            sim_ms: self.sim_ms,
+            exchange: self.exchange,
+            per_superstep: self.per_superstep,
+            resumes: self.resumes,
+        }
+    }
+}
+
+/// Per-vertex state of a min-combine fixpoint: it travels the exchange
+/// as its raw bits, and the owner keeps the smaller of two values.
+trait MinState: DeviceScalar + PartialOrd {
+    fn to_wire(self) -> u64;
+    fn from_wire(bits: u64) -> Self;
+}
+
+impl MinState for u32 {
+    fn to_wire(self) -> u64 {
+        self as u64
+    }
+    fn from_wire(bits: u64) -> Self {
+        bits as u32
+    }
+}
+
+impl MinState for f32 {
+    fn to_wire(self) -> u64 {
+        self.to_bits() as u64
+    }
+    fn from_wire(bits: u64) -> Self {
+        f32::from_bits(bits as u32)
+    }
+}
+
+/// Min-merge link over the per-partition state buffers.
+struct MinLink<'a, T: DeviceScalar> {
+    state: &'a [DeviceBuffer<T>],
+}
+
+impl<T: MinState> HaloLink for MinLink<'_, T> {
+    fn replica(&self, part: usize, lid: u32) -> u64 {
+        self.state[part].load(lid as usize).to_wire()
+    }
+
+    fn merge(&self, part: usize, lid: u32, value: u64) -> bool {
+        let v = T::from_wire(value);
+        if v < self.state[part].load(lid as usize) {
+            self.state[part].store(lid as usize, v);
+            true
+        } else {
+            false
+        }
+    }
+}
+
+type Stamp<T> = fn(&mut ItemCtx<'_>, &DeviceBuffer<T>, u32, VertexId);
+
+/// The per-algorithm half of a partitioned min-fixpoint; [`min_fixpoint`]
+/// supplies the shards, the state buffers, the engine and the halo link.
+struct Fixpoint<T: DeviceScalar> {
+    /// Marker prefix of the partition engines.
+    prefix: &'static str,
+    /// Rooted runs: the source, whose owner entry starts at zero
+    /// (`T::default()`) and which alone seeds the frontier. `None` seeds
+    /// every owned vertex.
+    source: Option<VertexId>,
+    /// Initial local state of one partition.
+    init: fn(&Queue, &DevicePartition, &DeviceBuffer<T>),
+    /// Advance functor over local IDs: relaxes edge `u → v` of weight
+    /// `w`; `true` activates `v`.
+    relax: fn(&mut ItemCtx<'_>, &DeviceBuffer<T>, VertexId, VertexId, Weight) -> bool,
+    /// Fused compute stamping an activated `v` at superstep `iter`.
+    stamp: Option<Stamp<T>>,
+    /// Global superstep cap, when tighter than the engine's default.
+    max_iters: Option<usize>,
+}
+
+/// Runs `fx` to its fixpoint across the partitions of `pg`.
+fn min_fixpoint<W: Word, T: MinState>(
+    queues: &[Queue],
+    pg: &PartitionedGraph,
+    excfg: ExchangeConfig,
+    fx: &Fixpoint<T>,
+    tuning: &Tuning,
+) -> SimResult<PartitionedResult<T>> {
+    if let Some(src) = fx.source {
+        assert!((src as usize) < pg.n, "source out of range");
+    }
+    let graphs: Vec<DeviceCsr> = pg
+        .parts
         .iter()
         .zip(queues)
         .map(|(part, q)| DeviceCsr::upload(q, &part.local_graph))
-        .collect()
+        .collect::<SimResult<_>>()?;
+    // Clock the traversal only: single-device `sim_ms` starts after the
+    // caller's graph upload, so the partitioned number must too.
+    let t0 = slowest_ns(queues);
+
+    let mut state = Vec::with_capacity(pg.part_count());
+    for (part, q) in pg.parts.iter().zip(queues) {
+        let d = q.malloc_device::<T>(part.local_len().max(1))?;
+        (fx.init)(q, part, &d);
+        state.push(d);
+    }
+    if let Some(src) = fx.source {
+        state[pg.owner_of(src) as usize].store(pg.owner_local_of(src) as usize, T::default());
+    }
+
+    let ckpt: Vec<Vec<&dyn CheckpointState>> = state
+        .iter()
+        .map(|d| vec![d as &dyn CheckpointState])
+        .collect();
+    let mut mde =
+        MultiDeviceEngine::<W>::new(pg, queues, &graphs, *tuning, excfg, &ckpt, fx.prefix)?;
+    if let Some(cap) = fx.max_iters {
+        mde = mde.max_iters(cap);
+    }
+    match fx.source {
+        Some(src) => mde.seed(src),
+        None => mde.seed_all_owned(),
+    }
+
+    let relax = fx.relax;
+    let advances: Vec<Box<StepAdvanceDyn<'_>>> = state
+        .iter()
+        .map(|d| {
+            Box::new(move |l: &mut ItemCtx<'_>, _iter: u32, u, v, _e, w| relax(l, d, u, v, w))
+                as Box<StepAdvanceDyn<'_>>
+        })
+        .collect();
+    let computes: Vec<Option<Box<StepComputeDyn<'_>>>> = state
+        .iter()
+        .map(|d| {
+            fx.stamp.map(|stamp| {
+                Box::new(move |l: &mut ItemCtx<'_>, iter: u32, v| stamp(l, d, iter, v))
+                    as Box<StepComputeDyn<'_>>
+            })
+        })
+        .collect();
+    let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
+    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> =
+        computes.iter().map(|c| c.as_deref()).collect();
+
+    let supersteps = mde.run(&adv_refs, &comp_refs, &MinLink { state: &state })?;
+    let locals: Vec<Vec<T>> = state.iter().map(|d| d.to_vec()).collect();
+    Ok(PartitionedRun {
+        values: pg.gather(&locals),
+        supersteps,
+        sim_ms: (slowest_ns(queues) - t0) / 1e6,
+        exchange: mde.exchange_total(),
+        per_superstep: mde.exchange_per_superstep().to_vec(),
+        resumes: mde.resumes(),
+    })
 }
 
 fn slowest_ns(queues: &[Queue]) -> f64 {
     queues.iter().map(|q| q.now_ns()).fold(0.0, f64::max)
-}
-
-/// Min-merge link over per-partition `u32` state (BFS levels, CC labels).
-struct MinLinkU32<'a> {
-    state: &'a [DeviceBuffer<u32>],
-}
-
-impl HaloLink for MinLinkU32<'_> {
-    fn replica(&self, part: usize, lid: u32) -> u64 {
-        self.state[part].load(lid as usize) as u64
-    }
-
-    fn merge(&self, part: usize, lid: u32, value: u64) -> bool {
-        let cur = self.state[part].load(lid as usize);
-        let v = value as u32;
-        if v < cur {
-            self.state[part].store(lid as usize, v);
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Min-merge link over per-partition `f32` state (SSSP distances);
-/// values travel as IEEE bits.
-struct MinLinkF32<'a> {
-    state: &'a [DeviceBuffer<f32>],
-}
-
-impl HaloLink for MinLinkF32<'_> {
-    fn replica(&self, part: usize, lid: u32) -> u64 {
-        self.state[part].load(lid as usize).to_bits() as u64
-    }
-
-    fn merge(&self, part: usize, lid: u32, value: u64) -> bool {
-        let cur = self.state[part].load(lid as usize);
-        let v = f32::from_bits(value as u32);
-        if v < cur {
-            self.state[part].store(lid as usize, v);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// Partitioned BFS from `src`: hop distances, `INF_DIST` when unreached.
@@ -112,68 +225,18 @@ pub fn bfs(
     opts: &OptConfig,
     excfg: ExchangeConfig,
 ) -> SimResult<PartitionedResult<u32>> {
+    let fx = Fixpoint {
+        prefix: "mbfs",
+        source: Some(src),
+        init: |q, _, d| {
+            q.fill(d, INF_DIST);
+        },
+        relax: |l, d, _u, v, _w| l.load_atomic(d, v as usize) == INF_DIST,
+        stamp: Some(|l, d, iter, v| l.store_atomic(d, v as usize, iter + 1)),
+        max_iters: Some(pg.n + 2),
+    };
     let tuning = inspect(queues[0].profile(), opts, pg.n);
-    match tuning.word_bits {
-        32 => bfs_impl::<u32>(queues, pg, src, opts, excfg),
-        _ => bfs_impl::<u64>(queues, pg, src, opts, excfg),
-    }
-}
-
-fn bfs_impl<W: Word>(
-    queues: &[Queue],
-    pg: &PartitionedGraph,
-    src: VertexId,
-    opts: &OptConfig,
-    excfg: ExchangeConfig,
-) -> SimResult<PartitionedResult<u32>> {
-    assert!((src as usize) < pg.n, "source out of range");
-    let graphs = upload_shards(queues, pg)?;
-    // Clock the traversal only: single-device `sim_ms` starts after the
-    // caller's graph upload, so the partitioned number must too.
-    let t0 = slowest_ns(queues);
-
-    let mut dist = Vec::with_capacity(pg.part_count());
-    for (part, q) in pg.parts.iter().zip(queues) {
-        let d = q.malloc_device::<u32>(part.local_len().max(1))?;
-        q.fill(&d, INF_DIST);
-        dist.push(d);
-    }
-    dist[pg.owner_of(src) as usize].store(pg.owner_local_of(src) as usize, 0);
-
-    let ckpt: Vec<Vec<&dyn CheckpointState>> = dist
-        .iter()
-        .map(|d| vec![d as &dyn CheckpointState])
-        .collect();
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    let mut mde = MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, "mbfs")?
-        .max_iters(pg.n + 2);
-    mde.seed(src);
-
-    let advances: Vec<Box<StepAdvanceDyn<'_>>> = dist
-        .iter()
-        .map(|d| {
-            Box::new(
-                move |l: &mut sygraph_sim::ItemCtx<'_>, _iter: u32, _u, v: u32, _e, _w| {
-                    l.load_atomic(d, v as usize) == INF_DIST
-                },
-            ) as Box<StepAdvanceDyn<'_>>
-        })
-        .collect();
-    let computes: Vec<Box<StepComputeDyn<'_>>> = dist
-        .iter()
-        .map(|d| {
-            Box::new(move |l: &mut sygraph_sim::ItemCtx<'_>, iter: u32, v: u32| {
-                l.store_atomic(d, v as usize, iter + 1)
-            }) as Box<StepComputeDyn<'_>>
-        })
-        .collect();
-    let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
-    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> =
-        computes.iter().map(|b| Some(b.as_ref())).collect();
-    let link = MinLinkU32 { state: &dist };
-
-    let supersteps = mde.run(&adv_refs, &comp_refs, &link)?;
-    finish(pg, queues, mde, supersteps, t0, &dist)
+    dispatch_by_word!(tuning, min_fixpoint::<u32>(queues, pg, excfg, &fx))
 }
 
 /// Partitioned Bellman-Ford SSSP from `src`: weighted distances,
@@ -185,61 +248,21 @@ pub fn sssp(
     opts: &OptConfig,
     excfg: ExchangeConfig,
 ) -> SimResult<PartitionedResult<f32>> {
+    let fx = Fixpoint {
+        prefix: "msssp",
+        source: Some(src),
+        init: |q, _, d| {
+            q.fill(d, INF_WEIGHT);
+        },
+        relax: |l, d, u, v, w| {
+            let nd = l.load_atomic(d, u as usize) + w;
+            nd < l.fetch_min_f32(d, v as usize, nd)
+        },
+        stamp: None,
+        max_iters: None,
+    };
     let tuning = inspect(queues[0].profile(), opts, pg.n);
-    match tuning.word_bits {
-        32 => sssp_impl::<u32>(queues, pg, src, opts, excfg),
-        _ => sssp_impl::<u64>(queues, pg, src, opts, excfg),
-    }
-}
-
-fn sssp_impl<W: Word>(
-    queues: &[Queue],
-    pg: &PartitionedGraph,
-    src: VertexId,
-    opts: &OptConfig,
-    excfg: ExchangeConfig,
-) -> SimResult<PartitionedResult<f32>> {
-    assert!((src as usize) < pg.n, "source out of range");
-    let graphs = upload_shards(queues, pg)?;
-    // Clock the traversal only: single-device `sim_ms` starts after the
-    // caller's graph upload, so the partitioned number must too.
-    let t0 = slowest_ns(queues);
-
-    let mut dist = Vec::with_capacity(pg.part_count());
-    for (part, q) in pg.parts.iter().zip(queues) {
-        let d = q.malloc_device::<f32>(part.local_len().max(1))?;
-        q.fill(&d, INF_WEIGHT);
-        dist.push(d);
-    }
-    dist[pg.owner_of(src) as usize].store(pg.owner_local_of(src) as usize, 0.0);
-
-    let ckpt: Vec<Vec<&dyn CheckpointState>> = dist
-        .iter()
-        .map(|d| vec![d as &dyn CheckpointState])
-        .collect();
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    let mut mde = MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, "msssp")?;
-    mde.seed(src);
-
-    let advances: Vec<Box<StepAdvanceDyn<'_>>> = dist
-        .iter()
-        .map(|d| {
-            Box::new(
-                move |l: &mut sygraph_sim::ItemCtx<'_>, _iter: u32, u: u32, v: u32, _e, w: f32| {
-                    let du = l.load_atomic(d, u as usize);
-                    let nd = du + w;
-                    let old = l.fetch_min_f32(d, v as usize, nd);
-                    nd < old
-                },
-            ) as Box<StepAdvanceDyn<'_>>
-        })
-        .collect();
-    let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
-    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> = vec![None; pg.part_count()];
-    let link = MinLinkF32 { state: &dist };
-
-    let supersteps = mde.run(&adv_refs, &comp_refs, &link)?;
-    finish(pg, queues, mde, supersteps, t0, &dist)
+    dispatch_by_word!(tuning, min_fixpoint::<f32>(queues, pg, excfg, &fx))
 }
 
 /// Partitioned label-propagation CC over a symmetric graph: per-vertex
@@ -252,79 +275,21 @@ pub fn cc(
     opts: &OptConfig,
     excfg: ExchangeConfig,
 ) -> SimResult<PartitionedResult<u32>> {
+    let fx = Fixpoint {
+        prefix: "mcc",
+        source: None,
+        // Every local slot (owned and halo alike) starts as its *global*
+        // ID: exactly the single-device `labels[v] = v` seeding.
+        init: |_, part, d| d.copy_from_slice(&part.local_to_global),
+        relax: |l, d, u, v, _w| {
+            let lu = l.load_atomic(d, u as usize);
+            lu < l.fetch_min(d, v as usize, lu)
+        },
+        stamp: None,
+        max_iters: None,
+    };
     let tuning = inspect(queues[0].profile(), opts, pg.n);
-    match tuning.word_bits {
-        32 => cc_impl::<u32>(queues, pg, opts, excfg),
-        _ => cc_impl::<u64>(queues, pg, opts, excfg),
-    }
-}
-
-fn cc_impl<W: Word>(
-    queues: &[Queue],
-    pg: &PartitionedGraph,
-    opts: &OptConfig,
-    excfg: ExchangeConfig,
-) -> SimResult<PartitionedResult<u32>> {
-    let graphs = upload_shards(queues, pg)?;
-    // Clock the traversal only: single-device `sim_ms` starts after the
-    // caller's graph upload, so the partitioned number must too.
-    let t0 = slowest_ns(queues);
-
-    // Every local slot (owned and halo alike) starts as its *global* ID:
-    // exactly the single-device `labels[v] = v` seeding, shard-local.
-    let mut labels = Vec::with_capacity(pg.part_count());
-    for (part, q) in pg.parts.iter().zip(queues) {
-        let lb = q.malloc_device::<u32>(part.local_len().max(1))?;
-        lb.copy_from_slice(&part.local_to_global);
-        labels.push(lb);
-    }
-
-    let ckpt: Vec<Vec<&dyn CheckpointState>> = labels
-        .iter()
-        .map(|d| vec![d as &dyn CheckpointState])
-        .collect();
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    let mut mde = MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, "mcc")?;
-    mde.seed_all_owned();
-
-    let advances: Vec<Box<StepAdvanceDyn<'_>>> = labels
-        .iter()
-        .map(|d| {
-            Box::new(
-                move |l: &mut sygraph_sim::ItemCtx<'_>, _iter: u32, u: u32, v: u32, _e, _w| {
-                    let lu = l.load_atomic(d, u as usize);
-                    let old = l.fetch_min(d, v as usize, lu);
-                    lu < old
-                },
-            ) as Box<StepAdvanceDyn<'_>>
-        })
-        .collect();
-    let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
-    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> = vec![None; pg.part_count()];
-    let link = MinLinkU32 { state: &labels };
-
-    let supersteps = mde.run(&adv_refs, &comp_refs, &link)?;
-    finish(pg, queues, mde, supersteps, t0, &labels)
-}
-
-/// Gathers owner entries into global order and packages the run stats.
-fn finish<W: Word, T: sygraph_sim::DeviceScalar>(
-    pg: &PartitionedGraph,
-    queues: &[Queue],
-    mde: MultiDeviceEngine<'_, W>,
-    supersteps: u32,
-    t0: f64,
-    state: &[DeviceBuffer<T>],
-) -> SimResult<PartitionedResult<T>> {
-    let locals: Vec<Vec<T>> = state.iter().map(|d| d.to_vec()).collect();
-    Ok(PartitionedResult {
-        values: pg.gather(&locals),
-        supersteps,
-        sim_ms: (slowest_ns(queues) - t0) / 1e6,
-        exchange: mde.exchange_total(),
-        per_superstep: mde.exchange_per_superstep().to_vec(),
-        resumes: mde.resumes(),
-    })
+    dispatch_by_word!(tuning, min_fixpoint::<u32>(queues, pg, excfg, &fx))
 }
 
 #[cfg(test)]

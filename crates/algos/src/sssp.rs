@@ -6,12 +6,12 @@
 use sygraph_core::engine::{CheckpointState, SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::Word;
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
-use sygraph_core::inspector::{OptConfig, Tuning};
+use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_core::types::{VertexId, INF_WEIGHT};
 use sygraph_sim::{Queue, SimResult};
 
+use crate::common::dispatch_by_word;
 use crate::common::{guarded_init, make_frontier, AlgoResult};
-use crate::dispatch_by_word;
 
 /// Runs Bellman-Ford SSSP from `src`, returning weighted distances
 /// (unreached = `f32::INFINITY`). Unweighted graphs use unit weights.
@@ -21,7 +21,8 @@ pub fn run(
     src: VertexId,
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<f32>> {
-    dispatch_by_word!(q, opts, g.vertex_count(), run_impl(q, g, src, opts))
+    let tuning = inspect(q.profile(), opts, g.vertex_count());
+    dispatch_by_word!(tuning, run_impl(q, g, src, opts))
 }
 
 fn run_impl<W: Word>(

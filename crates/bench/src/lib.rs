@@ -295,10 +295,7 @@ pub fn run_comparison_grid(
 /// Reads the experiment scale from `SYG_SCALE` (`test` or `bench`,
 /// default bench) — lets CI and criterion use the fast setting.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("SYG_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Bench,
-    }
+    Scale::from_env()
 }
 
 /// Reads the per-cell source count from `SYG_SOURCES` (default 10; the

@@ -39,6 +39,17 @@ pub enum Scale {
     Bench,
 }
 
+impl Scale {
+    /// Reads the scale from `SYG_SCALE`: `test` selects [`Scale::Test`],
+    /// anything else (or unset) [`Scale::Bench`].
+    pub fn from_env() -> Scale {
+        match std::env::var("SYG_SCALE").as_deref() {
+            Ok("test") => Scale::Test,
+            _ => Scale::Bench,
+        }
+    }
+}
+
 /// A generated dataset plus the Table 3 metadata of its full-size
 /// counterpart.
 pub struct Dataset {
@@ -277,6 +288,21 @@ pub fn twitter(scale: Scale) -> Dataset {
         21_300_000,
         530_000_000,
     )
+}
+
+/// The dataset with short key `key` (`ca`, `usa`, `hollyw`, `indo`,
+/// `journal`, `kron`, `twitter`), generated at `scale`.
+pub fn by_key(key: &str, scale: Scale) -> Option<Dataset> {
+    Some(match key {
+        "ca" => road_ca(scale),
+        "usa" => road_usa(scale),
+        "hollyw" => hollywood(scale),
+        "indo" => indochina(scale),
+        "journal" => livejournal(scale),
+        "kron" => kron(scale),
+        "twitter" => twitter(scale),
+        _ => return None,
+    })
 }
 
 /// The six datasets of the comparison figures (Figure 8 / Table 6 order:

@@ -411,7 +411,8 @@ fn post_graph(service: &Service, req: &Request) -> (u16, Value) {
 fn build_host(doc: &Value) -> Result<CsrHost, (u16, Value)> {
     let bad = |msg: &str| Err(error_body(400, "bad-request", msg));
     if let Some(Value::Str(spec)) = doc.get_field("spec") {
-        return crate::load_graph_spec(spec).map_err(|e| service_error(&e));
+        return crate::load_graph_spec(spec)
+            .map_err(|e| service_error(&ServiceError::BadRequest(e)));
     }
     if doc.get_field("offsets").is_some() || doc.get_field("targets").is_some() {
         let offsets = match u32_array(doc.get_field("offsets")) {

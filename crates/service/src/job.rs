@@ -10,68 +10,39 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{ServiceError, ServiceResult};
 
-/// Algorithms the service can run. Single-source BFS requests are the
-/// coalescible class: the scheduler may fold several of them into one
-/// W-lane multi-source pass (bit-identical per lane to rooted runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algo {
-    Bfs,
-    Sssp,
-    DeltaSssp,
-    Cc,
-    Bc,
-    Pagerank,
-}
+pub use sygraph_algos::registry::{Algo, Values as JobValues};
 
-impl Algo {
-    /// Parses the wire name; rejects unknown algorithms with a typed
-    /// error instead of panicking deep in dispatch.
-    pub fn parse(name: &str) -> ServiceResult<Algo> {
-        match name {
-            "bfs" => Ok(Algo::Bfs),
-            "sssp" => Ok(Algo::Sssp),
-            "delta" | "delta-sssp" => Ok(Algo::DeltaSssp),
-            "cc" => Ok(Algo::Cc),
-            "bc" => Ok(Algo::Bc),
-            "pagerank" | "pr" => Ok(Algo::Pagerank),
-            other => Err(ServiceError::BadRequest(format!(
-                "unknown algorithm {other:?} (expected bfs|sssp|delta|cc|bc|pagerank)"
-            ))),
-        }
-    }
+/// The algorithms the service runs. Single-source BFS is the coalescible
+/// class: the scheduler may fold several requests into one W-lane
+/// multi-source pass (bit-identical per lane to rooted runs).
+pub const SERVED: [Algo; 6] = [
+    Algo::Bfs,
+    Algo::Sssp,
+    Algo::Delta,
+    Algo::Cc,
+    Algo::Bc,
+    Algo::Pagerank,
+];
 
-    /// Canonical wire name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Algo::Bfs => "bfs",
-            Algo::Sssp => "sssp",
-            Algo::DeltaSssp => "delta",
-            Algo::Cc => "cc",
-            Algo::Bc => "bc",
-            Algo::Pagerank => "pagerank",
-        }
-    }
-
-    /// Whether the algorithm is rooted (requires a `source`).
-    pub fn needs_source(&self) -> bool {
-        !matches!(self, Algo::Cc | Algo::Pagerank)
-    }
-
-    /// Whether single-source requests of this algorithm may be folded
-    /// into one multi-source lane pass with bit-identical per-lane
-    /// output. BFS only: `bc_multi` matches the rooted pass to float
-    /// tolerance, not bit-for-bit, so coalescing it would break the
-    /// cache's bit-identity contract.
-    pub fn coalescible(&self) -> bool {
-        matches!(self, Algo::Bfs)
-    }
+/// Parses the wire name of a served algorithm; anything else is a typed
+/// 400, not a panic deep in dispatch.
+pub fn parse_algo(name: &str) -> ServiceResult<Algo> {
+    Algo::parse(name)
+        .filter(|a| SERVED.contains(a))
+        .ok_or_else(|| {
+            let expected: Vec<&str> = SERVED.iter().map(|a| a.label()).collect();
+            ServiceError::BadRequest(format!(
+                "unknown algorithm {name:?} (expected {})",
+                expected.join("|")
+            ))
+        })
 }
 
 /// A job submission. `algo` stays a string here so parse failures reach
 /// the caller as a 400, not a deserialization panic; `Service::submit`
-/// converts it via [`Algo::parse`]. Optional knobs default to service
+/// converts it via [`parse_algo`]. Optional knobs default to service
 /// policy when absent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct JobRequest {
     /// Name of a registered resident graph.
     pub graph: String,
@@ -99,13 +70,8 @@ impl JobRequest {
     /// Minimal rooted request with service-default policy knobs.
     pub fn rooted(graph: &str, algo: &str, source: u32) -> JobRequest {
         JobRequest {
-            graph: graph.to_string(),
-            algo: algo.to_string(),
             source: Some(source),
-            delta: None,
-            no_cache: None,
-            no_coalesce: None,
-            timeout_ms: None,
+            ..JobRequest::unrooted(graph, algo)
         }
     }
 
@@ -114,11 +80,7 @@ impl JobRequest {
         JobRequest {
             graph: graph.to_string(),
             algo: algo.to_string(),
-            source: None,
-            delta: None,
-            no_cache: None,
-            no_coalesce: None,
-            timeout_ms: None,
+            ..JobRequest::default()
         }
     }
 }
@@ -131,52 +93,6 @@ pub enum JobState {
     Done,
     Failed,
     Rejected,
-}
-
-/// A finished job's per-vertex values. `PartialEq` here is the
-/// bit-identity check the cache tests rely on (no NaNs escape the
-/// algorithms, so float equality is exact equality of bits in practice;
-/// the tests additionally compare `f32::to_bits`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobValues {
-    U32(Vec<u32>),
-    F32(Vec<f32>),
-}
-
-impl JobValues {
-    pub fn len(&self) -> usize {
-        match self {
-            JobValues::U32(v) => v.len(),
-            JobValues::F32(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Exact bit-level equality (distinguishes NaN payloads and signed
-    /// zeros, unlike `PartialEq` on floats).
-    pub fn bits_eq(&self, other: &JobValues) -> bool {
-        match (self, other) {
-            (JobValues::U32(a), JobValues::U32(b)) => a == b,
-            (JobValues::F32(a), JobValues::F32(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            }
-            _ => false,
-        }
-    }
-}
-
-// Hand-written so the wire shape is a flat array (matching the CLI's
-// `"values": [...]`), not the derive's `{"U32": [...]}` tagging.
-impl Serialize for JobValues {
-    fn serialize_value(&self) -> serde::Value {
-        match self {
-            JobValues::U32(v) => v.serialize_value(),
-            JobValues::F32(v) => v.serialize_value(),
-        }
-    }
 }
 
 /// Per-job execution metrics, filled in by the worker that ran it.
@@ -279,25 +195,12 @@ mod tests {
 
     #[test]
     fn algo_parse_round_trips_and_rejects() {
-        for name in ["bfs", "sssp", "delta", "cc", "bc", "pagerank"] {
-            assert_eq!(Algo::parse(name).unwrap().label(), name);
+        for a in SERVED {
+            assert_eq!(parse_algo(a.label()).unwrap(), a);
         }
-        assert_eq!(Algo::parse("pr").unwrap(), Algo::Pagerank);
-        let err = Algo::parse("tarjan").unwrap_err();
-        assert_eq!(err.http_status(), 400);
-    }
-
-    #[test]
-    fn only_bfs_coalesces() {
-        assert!(Algo::Bfs.coalescible());
-        for a in [
-            Algo::Sssp,
-            Algo::DeltaSssp,
-            Algo::Cc,
-            Algo::Bc,
-            Algo::Pagerank,
-        ] {
-            assert!(!a.coalescible(), "{:?}", a);
+        assert_eq!(parse_algo("pr").unwrap(), Algo::Pagerank);
+        for name in ["tarjan", "dobfs"] {
+            assert_eq!(parse_algo(name).unwrap_err().http_status(), 400);
         }
     }
 
@@ -310,19 +213,5 @@ mod tests {
         assert_eq!(back.algo, "bfs");
         assert_eq!(back.source, Some(7));
         assert_eq!(back.no_cache, None);
-    }
-
-    #[test]
-    fn values_serialize_flat() {
-        let v = JobValues::U32(vec![1, 2, 3]);
-        assert_eq!(serde_json::to_string(&v).unwrap(), "[1,2,3]");
-    }
-
-    #[test]
-    fn float_bit_identity_is_stricter_than_eq() {
-        let a = JobValues::F32(vec![0.0]);
-        let b = JobValues::F32(vec![-0.0]);
-        assert_eq!(a, b); // IEEE equality
-        assert!(!a.bits_eq(&b)); // bit identity
     }
 }

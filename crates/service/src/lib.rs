@@ -162,30 +162,14 @@ impl Service {
 /// Resolves a CLI-style graph spec: `gen:<key>` for the generated
 /// datasets (`SYG_SCALE=test` shrinks them, same convention as the
 /// bench binaries), anything else as a file path routed by extension.
-pub fn load_graph_spec(spec: &str) -> ServiceResult<CsrHost> {
-    if let Some(name) = spec.strip_prefix("gen:") {
-        let scale = match std::env::var("SYG_SCALE").as_deref() {
-            Ok("test") => sygraph_gen::Scale::Test,
-            _ => sygraph_gen::Scale::Bench,
-        };
-        let ds = match name {
-            "ca" => sygraph_gen::datasets::road_ca(scale),
-            "usa" => sygraph_gen::datasets::road_usa(scale),
-            "hollyw" => sygraph_gen::datasets::hollywood(scale),
-            "indo" => sygraph_gen::datasets::indochina(scale),
-            "journal" => sygraph_gen::datasets::livejournal(scale),
-            "kron" => sygraph_gen::datasets::kron(scale),
-            "twitter" => sygraph_gen::datasets::twitter(scale),
-            other => {
-                return Err(ServiceError::BadRequest(format!(
-                    "unknown generated dataset {other:?}"
-                )))
-            }
-        };
-        return Ok(ds.host);
+/// The error is the bare message; the HTTP layer answers it with a 400.
+pub fn load_graph_spec(spec: &str) -> Result<CsrHost, String> {
+    if let Some(key) = spec.strip_prefix("gen:") {
+        return sygraph_gen::datasets::by_key(key, sygraph_gen::Scale::from_env())
+            .map(|ds| ds.host)
+            .ok_or_else(|| format!("unknown generated dataset {key:?}"));
     }
-    let file =
-        std::fs::File::open(spec).map_err(|e| ServiceError::BadRequest(format!("{spec}: {e}")))?;
+    let file = std::fs::File::open(spec).map_err(|e| format!("{spec}: {e}"))?;
     let reader = std::io::BufReader::new(file);
     let result = if spec.ends_with(".mtx") {
         sygraph_io::mtx::read(reader)
@@ -196,5 +180,5 @@ pub fn load_graph_spec(spec: &str) -> ServiceResult<CsrHost> {
     } else {
         sygraph_io::edgelist::read(reader, 0)
     };
-    result.map_err(|e| ServiceError::BadRequest(format!("{spec}: {e}")))
+    result.map_err(|e| format!("{spec}: {e}"))
 }

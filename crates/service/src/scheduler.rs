@@ -54,16 +54,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use sygraph_algos::common::AlgoResult;
-use sygraph_algos::{bc, bfs, cc, delta, multi, pagerank, sssp};
+use sygraph_algos::multi;
+use sygraph_algos::registry::Params;
 use sygraph_core::engine::RecoveryPolicy;
-use sygraph_core::graph::{validate_sources, Graph};
-use sygraph_core::inspector::OptConfig;
+use sygraph_core::graph::validate_sources;
+use sygraph_core::inspector::{Direction, OptConfig};
 use sygraph_sim::{CancelToken, Device, DeviceProfile, FaultPlan, Queue, SimError};
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::error::{ServiceError, ServiceResult};
-use crate::job::{Algo, JobMetrics, JobRecord, JobRequest, JobState, JobValues};
+use crate::job::{parse_algo, Algo, JobMetrics, JobRecord, JobRequest, JobState, JobValues};
 use crate::registry::{DeviceMirror, Registry};
 
 /// Scheduler / service configuration.
@@ -173,12 +173,14 @@ pub fn modeled_peak_bytes(algo: Algo, n: u64, _m: u64, lanes: u32) -> u64 {
         Algo::Bfs => lanes * 4 * n + lanes * n / 4 + lanes * frontier / 2,
         Algo::Sssp => 4 * n,
         // distances + bucket tags.
-        Algo::DeltaSssp => 8 * n,
+        Algo::Delta => 8 * n,
         Algo::Cc => 4 * n,
-        // depth + sigma + delta + retained per-level frontier pool.
-        Algo::Bc => 12 * n + 4 * n,
         // rank + next + share + scalars.
         Algo::Pagerank => 12 * n + 64,
+        // depth + sigma + delta + retained per-level frontier pool. The
+        // service runs none of the other algorithms; price them like BC,
+        // the largest model.
+        _ => 12 * n + 4 * n,
     };
     state + frontier
 }
@@ -187,10 +189,9 @@ pub fn modeled_peak_bytes(algo: Algo, n: u64, _m: u64, lanes: u32) -> u64 {
 /// workers never need the job table while holding the queue lock.
 struct PendingJob {
     id: u64,
-    graph: String,
-    version: u64,
-    algo: Algo,
-    source: u32,
+    /// What to run — graph, version, algorithm, parameters — which is
+    /// also the result-cache key.
+    key: CacheKey,
     coalesce: bool,
     enqueued_at: Instant,
     /// Wall-clock deadline (admission time + effective timeout).
@@ -382,7 +383,7 @@ impl Scheduler {
                 return Err(ServiceError::Draining);
             }
         }
-        let algo = Algo::parse(&request.algo)?;
+        let algo = parse_algo(&request.algo)?;
         let reg = self.shared.registry.get(&request.graph)?;
         let n = reg.vertex_count();
 
@@ -396,7 +397,7 @@ impl Scheduler {
             None
         };
         let delta_bits = match algo {
-            Algo::DeltaSssp => {
+            Algo::Delta => {
                 let d = request.delta.unwrap_or(2.0);
                 if d <= 0.0 || d.is_nan() {
                     return Err(ServiceError::BadRequest(format!(
@@ -505,10 +506,7 @@ impl Scheduler {
         self.shared.jobs.write().insert(id, record);
         st.pending.push_back(PendingJob {
             id,
-            graph: reg.name.clone(),
-            version: reg.version,
-            algo,
-            source: source.unwrap_or(0),
+            key,
             coalesce: algo.coalescible() && !request.no_coalesce.unwrap_or(false),
             enqueued_at: Instant::now(),
             deadline,
@@ -884,7 +882,7 @@ fn claim(shared: &Shared) -> Option<Vec<PendingJob>> {
             .cfg
             .job_mem_budget
             .unwrap_or(shared.cfg.profile.vram_bytes);
-        let reg = shared.registry.get(&batch[0].graph).ok();
+        let reg = shared.registry.get(&batch[0].key.graph).ok();
         let width = reg
             .map(|r| {
                 admissible_width(
@@ -902,10 +900,11 @@ fn claim(shared: &Shared) -> Option<Vec<PendingJob>> {
             let mut i = 0;
             while i < st.pending.len() && batch.len() < width {
                 let p = &st.pending[i];
+                let head = &batch[0].key;
                 if p.coalesce
-                    && p.graph == batch[0].graph
-                    && p.version == batch[0].version
-                    && p.algo == batch[0].algo
+                    && p.key.graph == head.graph
+                    && p.key.version == head.version
+                    && p.key.algo == head.algo
                 {
                     batch.push(st.pending.remove(i).expect("index in bounds"));
                 } else {
@@ -1002,12 +1001,13 @@ fn execute(
     mark_running(shared, &live);
 
     // Re-resolve the graph; it may have been superseded since submit.
-    let reg = match shared.registry.get(&live[0].graph) {
-        Ok(reg) if reg.version == live[0].version => reg,
+    let job = &live[0].key;
+    let reg = match shared.registry.get(&job.graph) {
+        Ok(reg) if reg.version == job.version => reg,
         Ok(reg) => {
             let msg = format!(
                 "graph {:?} version {} superseded by {} before the job ran",
-                live[0].graph, live[0].version, reg.version
+                job.graph, job.version, reg.version
             );
             return fail_live(shared, &live, ServiceError::NotFound(msg));
         }
@@ -1044,7 +1044,7 @@ fn execute(
     let wall_start = Instant::now();
     let coalesced = live.len() > 1;
     let outcome: Result<BatchOutcome, ServiceError> = if coalesced {
-        let sources: Vec<u32> = live.iter().map(|p| p.source).collect();
+        let sources: Vec<u32> = live.iter().filter_map(|p| p.key.source).collect();
         let width = admissible_width(
             reg.vertex_count() as u64,
             reg.edge_count() as u64,
@@ -1062,13 +1062,31 @@ fn execute(
             })
             .map_err(ServiceError::from)
     } else {
-        run_single(shared, q, &graph, live[0], &opts).map(|(values, iterations, sim_ms)| {
-            BatchOutcome {
-                per_job: vec![values],
-                iterations,
-                sim_ms,
-            }
-        })
+        // Serial BFS stays push-only even when a pull mirror is resident:
+        // its output must be exactly the baseline that coalesced lanes
+        // reproduce, so coalescing is unobservable in the values.
+        let opts = OptConfig {
+            direction: if job.algo.coalescible() {
+                Direction::Push
+            } else {
+                opts.direction
+            },
+            ..opts
+        };
+        let params = Params {
+            delta: job
+                .delta_bits
+                .map_or(Params::default().delta, f32::from_bits),
+            ..Params::default()
+        };
+        job.algo
+            .run_single(q, &graph, job.source.unwrap_or(0), params, &opts)
+            .map(|r| BatchOutcome {
+                per_job: vec![r.values],
+                iterations: r.iterations,
+                sim_ms: r.sim_ms,
+            })
+            .map_err(ServiceError::from)
     };
 
     // Detach the token before result handling: the batch is no longer
@@ -1135,20 +1153,7 @@ fn execute(
         };
         if !rec.request.no_cache.unwrap_or(false) {
             shared.cache.put(
-                CacheKey {
-                    graph: p.graph.clone(),
-                    version: p.version,
-                    algo: p.algo,
-                    source: if p.algo.needs_source() {
-                        Some(p.source)
-                    } else {
-                        None
-                    },
-                    delta_bits: match p.algo {
-                        Algo::DeltaSssp => Some(rec.request.delta.unwrap_or(2.0).to_bits()),
-                        _ => None,
-                    },
-                },
+                p.key.clone(),
                 CachedResult {
                     values: values.clone(),
                     iterations: outcome.iterations,
@@ -1184,43 +1189,4 @@ struct BatchOutcome {
 fn fail_live(shared: &Shared, live: &[&PendingJob], err: ServiceError) {
     let ids: Vec<u64> = live.iter().map(|p| p.id).collect();
     fail_ids(shared, &ids, &err);
-}
-
-/// Runs one non-coalesced job. BFS runs on the push (CSR) view even
-/// when a pull mirror is resident, keeping serial output exactly the
-/// baseline that `bfs_multi` lanes are bit-identical to — coalescing
-/// must be unobservable in the values.
-fn run_single(
-    shared: &Shared,
-    q: &Queue,
-    graph: &Graph,
-    p: &PendingJob,
-    opts: &OptConfig,
-) -> ServiceResult<(JobValues, u32, f64)> {
-    fn unpack<T>(
-        r: AlgoResult<T>,
-        wrap: impl FnOnce(Vec<T>) -> JobValues,
-    ) -> (JobValues, u32, f64) {
-        (wrap(r.values), r.iterations, r.sim_ms)
-    }
-    let rec_delta = shared
-        .jobs
-        .read()
-        .get(&p.id)
-        .and_then(|r| r.request.delta)
-        .unwrap_or(2.0);
-    Ok(match p.algo {
-        Algo::Bfs => unpack(bfs::run(q, &graph.csr, p.source, opts)?, JobValues::U32),
-        Algo::Sssp => unpack(sssp::run(q, &graph.csr, p.source, opts)?, JobValues::F32),
-        Algo::DeltaSssp => unpack(
-            delta::run(q, &graph.csr, p.source, opts, rec_delta)?,
-            JobValues::F32,
-        ),
-        Algo::Cc => unpack(cc::run(q, graph, opts)?, JobValues::U32),
-        Algo::Bc => unpack(bc::run(q, &graph.csr, p.source, opts)?, JobValues::F32),
-        Algo::Pagerank => unpack(
-            pagerank::run(q, &graph.csr, opts, Default::default())?,
-            JobValues::F32,
-        ),
-    })
 }

@@ -88,6 +88,18 @@ pub struct DeviceProfile {
 }
 
 impl DeviceProfile {
+    /// Looks a profile up by its short name (`v100s`, `max1100`, `mi100`,
+    /// `host`), as the CLI's `--device` flag spells it.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "v100s" => Some(Self::v100s()),
+            "max1100" => Some(Self::max1100()),
+            "mi100" => Some(Self::mi100()),
+            "host" => Some(Self::host_test()),
+            _ => None,
+        }
+    }
+
     /// NVIDIA Tesla V100S: 80 SMs, warp 32, 32 GB HBM2, 6 MB L2 (Table 4).
     pub fn v100s() -> Self {
         DeviceProfile {
